@@ -22,30 +22,15 @@
 //	result, err := sys.SynthesizeContext(ctx, incomingOffers, pages)
 //	// result.Products now holds catalog-ready product instances.
 //
-// Because a System cannot be built on the new path without a Model, "not
-// learned yet" is no longer a runtime state to guard against. Models are
-// plain values: save one with [SaveModel], warm-start a fresh process with
-// [LoadModel], and swap a re-learned model into a serving System atomically
-// with [System.Use].
+// Because a System cannot be built without a Model (NewSystem and
+// [System.Use] panic on a nil one), "not learned yet" is not a runtime
+// state to guard against. Models are plain values: save one with
+// [SaveModel], warm-start a fresh process with [LoadModel], and swap a
+// re-learned model into a serving System atomically with [System.Use].
 //
-// # Migrating from the v1 API
-//
-// The original API hid the learned state inside a mutable System. Those
-// entry points remain as thin deprecated shims (see compat.go), so v1 code
-// keeps compiling, but new code should use the Model-first forms:
-//
-//	v1 (deprecated)                     v2
-//	----------------------------------  ------------------------------------------
-//	sys := New(store, cfg)              model, err := Learn(ctx, store, hist, pages, WithConfig(cfg))
-//	err := sys.Learn(hist, pages)       sys := NewSystem(store, model, WithConfig(cfg))
-//	sys.Stats()                         sys.Model().Stats()   (or keep the *Model)
-//	sys.Correspondences()               sys.Model().Correspondences()
-//	res, err := sys.Synthesize(in, p)   res, err := sys.SynthesizeContext(ctx, in, p)
-//	sys.SynthesizeBatches(bs, p)        sys.SynthesizeBatchesContext(ctx, bs, p)
-//
-// Every v2 entry point is context-first: cancelling the context stops the
-// pipeline's worker pools at the next stage boundary with ctx.Err(), and
-// never leaks a goroutine.
+// Every entry point that runs the pipeline is context-first: cancelling
+// the context stops the pipeline's worker pools at the next stage
+// boundary with ctx.Err(), and never leaks a goroutine.
 //
 // # Pipeline
 //
@@ -169,12 +154,11 @@
 // spawn take a context first and library code never manufactures root
 // contexts (ctxfirst), shard critical sections stay free of channel ops,
 // I/O, and user callbacks (lockscope), Err* sentinels are wrapped with %w
-// so errors.Is matches through every decoder (errwrapcheck), the v1 shims
-// keep their Deprecated: markers and nothing else carries one (shimcheck),
-// and raw goroutines have a visible join (spawncheck). A justified
-// exception is allowlisted in the source with `//lint:allow <analyzer>
-// <reason>` — the reason is mandatory — so every exception in the tree
-// documents why it is one.
+// so errors.Is matches through every decoder (errwrapcheck), and raw
+// goroutines have a visible join (spawncheck). A justified exception is
+// allowlisted in the source with `//lint:allow <analyzer> <reason>` — the
+// reason is mandatory — so every exception in the tree documents why it
+// is one.
 //
 // The subpackages under internal implement each component of the paper's
 // Figure 4 architecture plus every substrate the evaluation needs: an HTML
@@ -184,8 +168,6 @@
 package prodsynth
 
 import (
-	"errors"
-
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/core"
 	"prodsynth/internal/correspond"
@@ -195,12 +177,6 @@ import (
 	"prodsynth/internal/offer"
 	"prodsynth/internal/synth"
 )
-
-// ErrNotLearned is returned by the synthesis entry points of a System that
-// holds no Model — possible only on the deprecated v1 path, where New
-// builds a System before Learn has run. Systems built with NewSystem carry
-// their Model from construction.
-var ErrNotLearned = errors.New("prodsynth: Learn must succeed before Synthesize")
 
 // Re-exported data model. These aliases are the supported public surface;
 // their methods are documented on the internal definitions.

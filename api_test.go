@@ -1,7 +1,7 @@
 package prodsynth
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,6 +9,17 @@ import (
 	"testing"
 	"time"
 )
+
+// learnSystem runs Learn over the marketplace's historical offers against
+// store and builds a System from the model with the same options.
+func learnSystem(t *testing.T, store *Catalog, ds *Marketplace, opts ...Option) *System {
+	t.Helper()
+	model, err := Learn(context.Background(), store, ds.HistoricalOffers, MapFetcher(ds.Pages), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewSystem(store, model, opts...)
+}
 
 func marketplace(t *testing.T) *Marketplace {
 	t.Helper()
@@ -22,37 +33,23 @@ func marketplace(t *testing.T) *Marketplace {
 
 func TestSystemLifecycle(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
+	// A System never exists without a Model: a nil one is a programmer
+	// error, reported at construction.
+	assertPanics(t, "NewSystem", func() { NewSystem(ds.Catalog, nil) })
 
-	// Before Learn, accessors are inert and Synthesize fails.
-	if sys.Stats() != (OfflineStats{}) {
-		t.Error("Stats before Learn should be zero")
-	}
-	if sys.Correspondences() != nil || sys.ScoredCandidates() != nil {
-		t.Error("correspondences before Learn should be nil")
-	}
-	if _, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
-		t.Fatalf("Synthesize before Learn: err = %v, want ErrNotLearned", err)
-	}
-	if _, err := sys.SynthesizeBatches([][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
-		t.Fatalf("SynthesizeBatches before Learn: err = %v, want ErrNotLearned", err)
-	}
-
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	st := sys.Stats()
+	sys := learnSystem(t, ds.Catalog, ds)
+	st := sys.Model().Stats()
 	if st.TrainingSize == 0 || st.Correspondences == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(sys.Correspondences()) != st.Correspondences {
+	if len(sys.Model().Correspondences()) != st.Correspondences {
 		t.Error("Correspondences length disagrees with stats")
 	}
-	if len(sys.ScoredCandidates()) != st.Candidates {
+	if len(sys.Model().ScoredCandidates()) != st.Candidates {
 		t.Error("ScoredCandidates length disagrees with stats")
 	}
 
-	res, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	res, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +63,8 @@ func TestSystemLifecycle(t *testing.T) {
 
 func TestAddToCatalog(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys := learnSystem(t, ds.Catalog, ds)
+	res, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +103,7 @@ func TestAddToCatalogSeparatesCauses(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, ModelFromCorrespondences(store, nil))
 
 	good := Synthesized{CategoryID: "hd", Key: "MPN1", Spec: Spec{{Name: "Brand", Value: "Seagate"}}}
 	violating := Synthesized{CategoryID: "hd", Key: "MPN2", Spec: Spec{{Name: "Bogus", Value: "x"}}}
@@ -143,7 +137,7 @@ func TestAddToCatalogKeylessNoCrossCallCollision(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, ModelFromCorrespondences(store, nil))
 	keyless := func(brand string) []Synthesized {
 		return []Synthesized{{CategoryID: "hd", Key: "", Spec: Spec{{Name: "Brand", Value: brand}}}}
 	}
@@ -180,7 +174,7 @@ func TestAddToCatalogKeylessConcurrent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, ModelFromCorrespondences(store, nil))
 	// Even a single-CPU machine must interleave the racy window: spread
 	// the workers across OS threads, and release each round through a
 	// barrier so every round's AddToCatalog calls race on the same store
@@ -237,7 +231,7 @@ func TestAddToCatalogReportsShadowedKeys(t *testing.T) {
 		Spec: Spec{{Name: "Brand", Value: "Seagate"}, {Name: AttrMPN, Value: "MPN1"}}}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, ModelFromCorrespondences(store, nil))
 	shadowing := Synthesized{CategoryID: "hd", Key: "MPN1", KeyAttr: AttrMPN,
 		Spec: Spec{{Name: "Brand", Value: "Hitachi"}, {Name: AttrMPN, Value: "MPN1"}}}
 	report := sys.AddToCatalog([]Synthesized{shadowing}, "synth")
@@ -282,16 +276,13 @@ func productFingerprints(products []Synthesized) []string {
 // each other.
 func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	oneShot, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys := learnSystem(t, ds.Catalog, ds)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	batched, err := sys.SynthesizeBatches([][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages))
+	batched, err := sys.SynthesizeBatchesContext(context.Background(), [][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +311,11 @@ func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 		ds.IncomingOffers[:len(ds.IncomingOffers)/2],
 		ds.IncomingOffers[len(ds.IncomingOffers)/2:],
 	}
-	b1, err := sys.SynthesizeBatches(split, MapFetcher(ds.Pages))
+	b1, err := sys.SynthesizeBatchesContext(context.Background(), split, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := sys.SynthesizeBatches(split, MapFetcher(ds.Pages))
+	b2, err := sys.SynthesizeBatchesContext(context.Background(), split, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +371,8 @@ func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 // indexes evicted), excluding them from synthesis.
 func TestSynthesizeSeesCatalogGrowth(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys := learnSystem(t, ds.Catalog, ds)
+	res, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +384,7 @@ func TestSynthesizeSeesCatalogGrowth(t *testing.T) {
 		t.Fatalf("nothing added: %+v", report)
 	}
 
-	again, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	again, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,9 +411,11 @@ func benchSystem(b *testing.B) *System {
 	b.Helper()
 	ds := experimentDataset()
 	benchSysOnce.Do(func() {
-		sys := New(ds.Catalog, Config{})
-		benchSysErr = sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages))
-		benchSysVal = sys
+		var model *Model
+		model, benchSysErr = Learn(context.Background(), ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
+		if benchSysErr == nil {
+			benchSysVal = NewSystem(ds.Catalog, model)
+		}
 	})
 	if benchSysErr != nil {
 		b.Fatal(benchSysErr)
@@ -429,14 +431,14 @@ func BenchmarkSynthesizeBatches(b *testing.B) {
 	sys := benchSystem(b)
 	batches := benchBatches(ds, 8)
 	fetcher := MapFetcher(ds.Pages)
-	if _, err := sys.SynthesizeBatches(batches, fetcher); err != nil {
+	if _, err := sys.SynthesizeBatchesContext(context.Background(), batches, fetcher); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var res *BatchResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = sys.SynthesizeBatches(batches, fetcher)
+		res, err = sys.SynthesizeBatchesContext(context.Background(), batches, fetcher)
 		if err != nil {
 			b.Fatal(err)
 		}

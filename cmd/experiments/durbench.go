@@ -11,8 +11,8 @@ import (
 	"prodsynth"
 )
 
-// The durability benchmark sizes by -scale: how many products flow
-// through the WAL, the snapshot codec, and replay.
+// The durability benchmark sizes by -scale (validated by realMain): how
+// many products flow through the WAL, the snapshot codec, and replay.
 func durBenchProducts(scale string) int {
 	switch scale {
 	case "small":

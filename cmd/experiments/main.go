@@ -75,6 +75,12 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
+	switch *scale {
+	case "small", "medium", "large":
+	default:
+		log.Printf("unknown -scale %q: want small, medium or large", *scale)
+		return 2
+	}
 
 	// The heap-profile defer is registered before the CPU-profile ones,
 	// so it runs last (LIFO): the snapshot is taken after CPU profiling
@@ -291,6 +297,7 @@ func runStreamReplay(w io.Writer, env *experiments.Env, n int) error {
 	return nil
 }
 
+// scaleConfig sizes the corpus for a -scale value realMain has validated.
 func scaleConfig(scale string) synth.Config {
 	switch scale {
 	case "small":

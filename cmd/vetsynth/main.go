@@ -1,8 +1,7 @@
 // Command vetsynth is prodsynth's repo-specific static analyzer suite:
 // it machine-checks the invariants the codebase accumulated PR over PR —
 // injectable clocks, context-first entry points, I/O-free shard critical
-// sections, %w-wrapped sentinels, compat-shim deprecation markers, and
-// join-guarded goroutines.
+// sections, %w-wrapped sentinels, and join-guarded goroutines.
 //
 // Usage:
 //

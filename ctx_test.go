@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The tests here pin the context contract of the v2 entry points:
+// The tests here pin the context contract of the entry points:
 // cancelling mid-Learn and mid-Synthesize returns ctx.Err() promptly and
 // leaks no worker-pool goroutines — the batch-side mirror of
 // TestStreamCtxCancelNoLeak. The gateFetcher (stream_test.go) parks every

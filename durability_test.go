@@ -2,6 +2,7 @@ package prodsynth
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,11 +45,8 @@ func TestDurableLifecycle(t *testing.T) {
 		t.Fatal("ImportCatalog into non-empty store succeeded")
 	}
 
-	sys := NewSystem(store, nil)
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys := learnSystem(t, store, ds)
+	res, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +111,9 @@ func TestWithDurabilitySpillsStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys := NewSystem(d.Catalog(), nil, WithDurability(d))
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
+	sys := learnSystem(t, d.Catalog(), ds, WithDurability(d))
 	fetcher := MapFetcher(ds.Pages)
-	oneShot, err := sys.Synthesize(ds.IncomingOffers, fetcher)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}

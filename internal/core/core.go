@@ -15,13 +15,14 @@
 // The package wires the substrate packages together, parallelizes the
 // per-offer stages, and reports the statistics the paper's §5.1 quotes.
 //
-// Concurrency model: per-category work — matching and schema
-// reconciliation — fans out across a bounded worker pool (Config.Workers),
-// one task per category, with results merged back in input order so output
-// is identical for every worker count. Matching state is shared through
-// the match package's index registry — sharded by category hash, so
-// concurrent category tasks neither rebuild each other's indexes nor
-// serialize on one registry lock. Clustering stays global (clusters may
+// Concurrency model: every fan-out runs on one primitive, the ordered
+// worker pool pipe.ParMap bounded by Config.Workers. Per-offer extraction
+// runs one task per offer; per-category work — matching and schema
+// reconciliation — one task per category, with results merged back in
+// input order so output is identical for every worker count. Matching
+// state is shared through the match package's index registry — sharded
+// by category hash, so concurrent category tasks neither rebuild each
+// other's indexes nor serialize on one registry lock. Clustering stays global (clusters may
 // span categories when the category classifier errs on individual offers,
 // §2); value fusion then fans out again, one task per cluster.
 package core
@@ -32,7 +33,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/categorize"
@@ -203,50 +203,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// runLimited executes jobs 0..n-1 on at most workers goroutines, pulling
-// from a shared counter so unbalanced jobs (a huge category next to tiny
-// ones) do not leave workers idle. Jobs must write only to their own slots.
-//
-// Cancellation is checked between jobs: once ctx is done, workers stop
-// pulling new indexes, finish the job in hand, and the call returns
-// ctx.Err(). Every worker goroutine is always joined before returning, so
-// a cancelled pool leaks nothing; callers must treat a non-nil error as
-// "results incomplete" and discard their slots.
-func runLimited(ctx context.Context, n, workers int, job func(i int)) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			job(i)
-		}
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				job(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // fetchTally is the run-scoped account of extraction-stage fetch activity
 // shared by the stage's workers. The fetch counters themselves come from
 // the fetcher when it keeps them (fetch.CounterSource — fetch.Resilient
@@ -357,38 +313,50 @@ func categoryMatcher(cfg Config, parts int) match.Matcher {
 	return matcher
 }
 
+// forEachCategory is the per-category fan-out shared by offline matching
+// and runtime match+reconcile: offers are partitioned by category, and
+// task runs once per category — on that category's offers, in input
+// order — across cfg.Workers goroutines. Results come back in category
+// order next to the partition, whose indices map each category's offers
+// back to their positions in offers for an ordered merge.
+func forEachCategory[R any](ctx context.Context, offers []offer.Offer, cfg Config, task func(matcher match.Matcher, sub []offer.Offer) R) ([]categorySlice, []R, error) {
+	parts := partitionByCategory(offers)
+	matcher := categoryMatcher(cfg, len(parts))
+	stage := pipe.ParMap(cfg.Workers, func(_ context.Context, part categorySlice) (R, error) {
+		sub := make([]offer.Offer, len(part.indices))
+		for j, gi := range part.indices {
+			sub[j] = offers[gi]
+		}
+		return task(matcher, sub), nil
+	})
+	results, err := pipe.Collect(ctx, stage(pipe.FromSlice(parts)))
+	if err != nil {
+		return nil, nil, err
+	}
+	return parts, results, nil
+}
+
 // matchPerCategory fans historical matching out across the worker pool,
 // one task per category, and merges the per-category match sets back in
 // offer input order — byte-for-byte the MatchSet a single serial Run over
 // the whole set produces.
 func matchPerCategory(ctx context.Context, store *catalog.Store, offers []offer.Offer, cfg Config) (*match.MatchSet, error) {
-	parts := partitionByCategory(offers)
-	matcher := categoryMatcher(cfg, len(parts))
-
-	results := make([]match.Match, len(offers))
-	found := make([]bool, len(offers))
-	err := runLimited(ctx, len(parts), cfg.Workers, func(pi int) {
-		part := parts[pi]
-		sub := make([]offer.Offer, len(part.indices))
-		for j, gi := range part.indices {
-			sub[j] = offers[gi]
-		}
-		ms := matcher.Run(store, offer.NewSet(sub))
-		for j, gi := range part.indices {
-			if mt, ok := ms.ProductFor(sub[j].ID); ok {
-				results[gi] = mt
-				found[gi] = true
-			}
-		}
+	parts, sets, err := forEachCategory(ctx, offers, cfg, func(matcher match.Matcher, sub []offer.Offer) *match.MatchSet {
+		return matcher.Run(store, offer.NewSet(sub))
 	})
 	if err != nil {
 		return nil, err
 	}
-
+	setOf := make([]*match.MatchSet, len(offers))
+	for pi, part := range parts {
+		for _, gi := range part.indices {
+			setOf[gi] = sets[pi]
+		}
+	}
 	kept := make([]match.Match, 0, len(offers))
-	for i := range results {
-		if found[i] {
-			kept = append(kept, results[i])
+	for i, o := range offers {
+		if mt, ok := setOf[i].ProductFor(o.ID); ok {
+			kept = append(kept, mt)
 		}
 	}
 	return match.NewMatchSet(kept), nil
@@ -429,10 +397,12 @@ type OfflineStats struct {
 	Correspondences   int
 }
 
-// RunOffline executes the offline learning phase. Cancellation of ctx is
-// observed at stage boundaries and between the worker-pool jobs inside
-// each stage; on cancellation the error is ctx.Err() and every pool
-// goroutine has already been joined.
+// RunOffline executes the offline learning phase. Extraction drains the
+// same stage the runtime uses (extractStage), and historical matching fans
+// out per category on the same ordered pool (pipe.ParMap). Cancellation
+// of ctx is observed at every stage pull and between the serial steps;
+// the error is then ctx.Err(), and every stage goroutine exits once ctx
+// is cancelled.
 //
 // Config.StrictPages applies here exactly as at runtime: by default a
 // historical offer whose page cannot be fetched is learned from its feed
@@ -453,7 +423,7 @@ func RunOffline(ctx context.Context, store *catalog.Store, historical []offer.Of
 
 	cs, before := counterSnapshot(pages)
 	tally := &fetchTally{}
-	enriched, err := extractSpecs(ctx, withCat, pages, cfg, tally)
+	enriched, err := pipe.Collect(ctx, extractStage(pages, cfg, tally)(pipe.FromSlice(withCat)))
 	if err != nil {
 		return nil, err
 	}
@@ -625,39 +595,4 @@ func RunRuntime(ctx context.Context, store *catalog.Store, offline *OfflineResul
 		return nil, err
 	}
 	return res, nil
-}
-
-// extractSpecs is the offline phase's bulk extraction: it fetches each
-// offer's landing page and merges extracted attribute-value pairs into the
-// offer spec (feed pairs win on name conflict), sharing the per-offer body
-// (extractOne) with the runtime ExtractStage. Offers whose page cannot be
-// fetched keep their feed spec (recorded in the tally) unless
-// Config.StrictPages is set, in which case the first fetch failure in
-// offer input order fails the run. Cancellation is checked between offers
-// and, for a context-aware fetcher, reaches in-flight fetches; a plain
-// Fetch is allowed to finish, after which the pool drains and ctx.Err()
-// is returned.
-func extractSpecs(ctx context.Context, offers []offer.Offer, pages PageFetcher, cfg Config, tally *fetchTally) ([]offer.Offer, error) {
-	out := make([]offer.Offer, len(offers))
-	var errs []error
-	if cfg.StrictPages {
-		errs = make([]error, len(offers))
-	}
-	poolErr := runLimited(ctx, len(offers), cfg.Workers, func(i int) {
-		o, err := extractOne(ctx, offers[i], pages, cfg, tally)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = o
-	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

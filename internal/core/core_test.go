@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"prodsynth/internal/cluster"
+	"prodsynth/internal/fetch"
 	"prodsynth/internal/match"
 	"prodsynth/internal/offer"
 	"prodsynth/internal/synth"
@@ -366,6 +368,54 @@ func TestStrictPages(t *testing.T) {
 	if _, err := RunOffline(context.Background(), ds.Catalog, historical, fetcher, Config{StrictPages: true}); err == nil {
 		t.Error("offline phase tolerated a missing page under StrictPages")
 	}
+
+	// With two missing pages the offline error names the earlier offer in
+	// input order, for every worker count — even when the later failure
+	// happens first: the earlier one is delayed so that, with parallel
+	// workers, the later offer fails while it is still in flight.
+	early, late := ds.HistoricalOffers[0].Clone(), ds.HistoricalOffers[3].Clone()
+	early.ID, early.URL = "bad-early", "missing://early"
+	late.ID, late.URL = "bad-late", "missing://late"
+	historical = append([]offer.Offer{early}, ds.HistoricalOffers[1:]...)
+	historical[3] = late
+	slow := delayedFetcher{inner: fetcher, url: early.URL, delay: 50 * time.Millisecond}
+	for _, w := range []int{1, 8} {
+		_, err := RunOffline(context.Background(), ds.Catalog, historical, slow, Config{StrictPages: true, Workers: w})
+		if err == nil {
+			t.Fatalf("Workers=%d: offline phase tolerated two missing pages under StrictPages", w)
+		}
+		if !strings.Contains(err.Error(), "offer bad-early:") || strings.Contains(err.Error(), "bad-late") {
+			t.Errorf("Workers=%d: strict offline error %q, want the earlier offer bad-early", w, err)
+		}
+	}
+}
+
+// delayedFetcher delays every fetch of one URL, so a later offer's fetch
+// can finish first.
+type delayedFetcher struct {
+	inner PageFetcher
+	url   string
+	delay time.Duration
+}
+
+func (f delayedFetcher) Fetch(url string) (string, error) {
+	if url == f.url {
+		time.Sleep(f.delay)
+	}
+	return f.inner.Fetch(url)
+}
+
+// withoutPages returns a copy of the fetcher missing the given offers'
+// landing pages.
+func withoutPages(pages MapFetcher, offers ...offer.Offer) MapFetcher {
+	out := make(MapFetcher, len(pages))
+	for u, html := range pages {
+		out[u] = html
+	}
+	for _, o := range offers {
+		delete(out, o.URL)
+	}
+	return out
 }
 
 func TestRuntimeRequiresOffline(t *testing.T) {
@@ -382,10 +432,16 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 	ds := dataset(t)
 	fetcher := MapFetcher(ds.Pages)
 
+	// A second offline run with two historical pages missing pins the
+	// extraction pool's fetch accounting: counters and the sorted
+	// FeedOnly list must not depend on the worker count either.
+	gappy := withoutPages(fetcher, ds.HistoricalOffers[2], ds.HistoricalOffers[len(ds.HistoricalOffers)-3])
+
 	type snapshot struct {
 		matches  []match.Match
 		products []string
 		stats    OfflineStats
+		fetch    fetch.Report
 	}
 	run := func(workers int) snapshot {
 		cfg := Config{Workers: workers}
@@ -401,12 +457,25 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 		for i, p := range rt.Products {
 			products[i] = p.CategoryID + "/" + p.Key + "/" + p.Spec.String()
 		}
-		return snapshot{matches: off.Matches.All(), products: products, stats: off.Stats}
+		offGappy, err := RunOffline(context.Background(), ds.Catalog, ds.HistoricalOffers, gappy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapshot{matches: off.Matches.All(), products: products, stats: off.Stats, fetch: offGappy.Fetch}
 	}
 
 	base := run(1)
+	if len(base.fetch.FeedOnly) != 2 || base.fetch.GaveUp != 2 {
+		t.Fatalf("Workers=1: offline fetch report %+v, want the two missing pages feed-only", base.fetch)
+	}
 	for _, w := range []int{2, 8} {
 		got := run(w)
+		if got.fetch.Counters != base.fetch.Counters {
+			t.Errorf("Workers=%d: offline fetch counters %+v, want %+v", w, got.fetch.Counters, base.fetch.Counters)
+		}
+		if !slices.Equal(got.fetch.FeedOnly, base.fetch.FeedOnly) {
+			t.Errorf("Workers=%d: offline FeedOnly %v, want %v", w, got.fetch.FeedOnly, base.fetch.FeedOnly)
+		}
 		if got.stats != base.stats {
 			t.Errorf("Workers=%d: stats %+v, want %+v", w, got.stats, base.stats)
 		}
@@ -426,42 +495,6 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("Workers=%d: product %d differs:\n  got  %s\n  want %s", w, i, got.products[i], base.products[i])
 			}
 		}
-	}
-}
-
-func TestRunLimited(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {10, 1}, {10, 4}, {10, 100}, {100, 0},
-	} {
-		hits := make([]int32, tc.n)
-		if err := runLimited(context.Background(), tc.n, tc.workers, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		}); err != nil {
-			t.Fatalf("n=%d workers=%d: err = %v", tc.n, tc.workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Errorf("n=%d workers=%d: job %d ran %d times", tc.n, tc.workers, i, h)
-			}
-		}
-	}
-}
-
-// TestRunLimitedCancelled pins the pool's cancellation contract: a
-// cancelled context stops workers from pulling new jobs, the call returns
-// ctx.Err(), and jobs never run after return (the pool is joined).
-func TestRunLimitedCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := int32(0)
-	err := runLimited(ctx, 100, 4, func(i int) { atomic.AddInt32(&ran, 1) })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Workers check ctx before each pull, so an already-cancelled pool
-	// runs nothing (serial path) or at most a handful of in-flight jobs.
-	if n := atomic.LoadInt32(&ran); n == 100 {
-		t.Errorf("all %d jobs ran despite pre-cancelled ctx", n)
 	}
 }
 

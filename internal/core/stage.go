@@ -69,45 +69,40 @@ func ExtractStage(pages PageFetcher, cfg Config) pipe.Stage[offer.Offer, offer.O
 }
 
 // extractStage is ExtractStage plus the run-scoped degradation tally the
-// result's fetch report is built from (nil: no accounting).
+// result's fetch report is built from (nil: no accounting). The runtime
+// front half and the offline phase both extract through it.
 func extractStage(pages PageFetcher, cfg Config, tally *fetchTally) pipe.Stage[offer.Offer, offer.Offer] {
 	return pipe.ParMap(cfg.Workers, func(ctx context.Context, o offer.Offer) (offer.Offer, error) {
-		return extractOne(ctx, o, pages, cfg, tally)
+		o = o.Clone()
+		if pages == nil {
+			return o, nil
+		}
+		tally.attempt()
+		page, err := fetch.Call(ctx, pages, o.URL)
+		if err != nil {
+			if cfg.StrictPages {
+				return offer.Offer{}, fmt.Errorf("core: strict pages: offer %s: %w", o.ID, err)
+			}
+			tally.degraded(o.ID)
+			return o, nil
+		}
+		extracted := extract.WithOptions(page, cfg.Extraction)
+		have := make(map[string]bool, len(o.Spec))
+		for _, av := range o.Spec {
+			have[av.Name] = true
+		}
+		for _, av := range extracted {
+			if !have[av.Name] {
+				o.Spec = append(o.Spec, av)
+			}
+		}
+		return o, nil
 	})
-}
-
-// extractOne is the per-offer extraction body shared by ExtractStage and
-// the offline phase's extractSpecs.
-func extractOne(ctx context.Context, o offer.Offer, pages PageFetcher, cfg Config, tally *fetchTally) (offer.Offer, error) {
-	o = o.Clone()
-	if pages == nil {
-		return o, nil
-	}
-	tally.attempt()
-	page, err := fetch.Call(ctx, pages, o.URL)
-	if err != nil {
-		if cfg.StrictPages {
-			return offer.Offer{}, fmt.Errorf("core: strict pages: offer %s: %w", o.ID, err)
-		}
-		tally.degraded(o.ID)
-		return o, nil
-	}
-	extracted := extract.WithOptions(page, cfg.Extraction)
-	have := make(map[string]bool, len(o.Spec))
-	for _, av := range o.Spec {
-		have[av.Name] = true
-	}
-	for _, av := range extracted {
-		if !have[av.Name] {
-			o.Spec = append(o.Spec, av)
-		}
-	}
-	return o, nil
 }
 
 // partPrepared is one category's match-exclusion + reconciliation result.
 type partPrepared struct {
-	keptIdx  []int // global indices of the survivors, ascending
+	keptIdx  []int // positions of the survivors within the category, ascending
 	kept     []offer.Offer
 	excluded int
 	stats    reconcile.Stats
@@ -119,34 +114,26 @@ type partPrepared struct {
 // task per category, and the per-category survivors are merged back in
 // global input order — output independent of Workers.
 func matchReconcile(ctx context.Context, store *catalog.Store, offline *OfflineResult, enriched []offer.Offer, cfg Config) (*Prepared, error) {
-	parts := partitionByCategory(enriched)
-	matcher := categoryMatcher(cfg, len(parts))
-
-	stage := pipe.ParMap(cfg.Workers, func(_ context.Context, part categorySlice) (partPrepared, error) {
-		sub := make([]offer.Offer, len(part.indices))
-		for j, gi := range part.indices {
-			sub[j] = enriched[gi]
-		}
+	parts, results, err := forEachCategory(ctx, enriched, cfg, func(matcher match.Matcher, sub []offer.Offer) partPrepared {
 		var matches *match.MatchSet
 		if !cfg.KeepMatchedIncoming {
 			matches = matcher.Run(store, offer.NewSet(sub))
 		}
-		pr := partPrepared{keptIdx: make([]int, 0, len(part.indices))}
+		pr := partPrepared{keptIdx: make([]int, 0, len(sub))}
 		kept := sub[:0]
-		for j, gi := range part.indices {
+		for j, o := range sub {
 			if matches != nil {
-				if _, ok := matches.ProductFor(sub[j].ID); ok {
+				if _, ok := matches.ProductFor(o.ID); ok {
 					pr.excluded++
 					continue
 				}
 			}
-			kept = append(kept, sub[j])
-			pr.keptIdx = append(pr.keptIdx, gi)
+			kept = append(kept, o)
+			pr.keptIdx = append(pr.keptIdx, j)
 		}
 		pr.kept, pr.stats = reconcile.Offers(kept, offline.Correspondences)
-		return pr, nil
+		return pr
 	})
-	results, err := pipe.Collect(ctx, stage(pipe.FromSlice(parts)))
 	if err != nil {
 		return nil, err
 	}
@@ -157,11 +144,12 @@ func matchReconcile(ctx context.Context, store *catalog.Store, offline *OfflineR
 	prep := &Prepared{}
 	keep := make([]bool, len(enriched))
 	reconciled := make([]offer.Offer, len(enriched))
-	for _, pr := range results {
+	for pi, pr := range results {
 		prep.ExcludedMatched += pr.excluded
 		prep.Reconcile.Add(pr.stats)
-		for j, gi := range pr.keptIdx {
-			reconciled[gi] = pr.kept[j]
+		for k, j := range pr.keptIdx {
+			gi := parts[pi].indices[j]
+			reconciled[gi] = pr.kept[k]
 			keep[gi] = true
 		}
 	}

@@ -31,13 +31,13 @@ var ioFuncs = map[string]map[string]bool{
 	"net": {"Listen": true, "Dial": true, "DialTimeout": true},
 }
 
-// CtxFirst enforces the v2 API's context discipline: exported functions
+// CtxFirst enforces the API's context discipline: exported functions
 // in the root package and internal/{core,stream,serve,fetch} that spawn
 // goroutines, block on channels, or perform I/O take context.Context as
 // their first parameter, and library packages never manufacture contexts
 // with context.Background()/context.TODO() — only cmd/, examples/, and
-// tests may. Deliberate detached contexts (v1 shims, drain/reload
-// lifecycles) carry lint:allow annotations.
+// tests may. Deliberate detached contexts, such as the drain and reload
+// lifecycles, carry lint:allow annotations.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "context-first exported entry points; no context.Background/TODO in library packages",

@@ -9,9 +9,9 @@ import (
 
 // ErrWrapCheck enforces the error contract on sentinel errors: a
 // fmt.Errorf that stringifies an Err* sentinel (ErrBadModel,
-// ErrBadCatalog, ErrBadBundle, ErrFetch*, ErrNotLearned, ...) must use
-// %w, so errors.Is keeps matching through every decoder and wrapper —
-// the snapfmt decode paths wrap their sentinel, never replace it.
+// ErrBadCatalog, ErrBadBundle, ErrFetch*, ...) must use %w, so errors.Is
+// keeps matching through every decoder and wrapper — the snapfmt decode
+// paths wrap their sentinel, never replace it.
 var ErrWrapCheck = &Analyzer{
 	Name: "errwrapcheck",
 	Doc:  "fmt.Errorf over an Err* sentinel must wrap with %w, not stringify",

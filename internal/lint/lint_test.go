@@ -106,10 +106,6 @@ func TestErrWrapCheckFixture(t *testing.T) {
 	runFixture(t, ErrWrapCheck, "testdata/errwrapcheck", "prodsynth/internal/snapfmt")
 }
 
-func TestShimCheckFixture(t *testing.T) {
-	runFixture(t, ShimCheck, "testdata/shimcheck", "prodsynth")
-}
-
 func TestSpawnCheckFixture(t *testing.T) {
 	runFixture(t, SpawnCheck, "testdata/spawncheck", "prodsynth/internal/serve")
 }
@@ -155,7 +151,7 @@ func TestAllowRequiresReason(t *testing.T) {
 // TestAllSuite pins the suite roster: vetsynth and the repo self-scan run
 // exactly these passes.
 func TestAllSuite(t *testing.T) {
-	want := []string{"clockcheck", "ctxfirst", "lockscope", "errwrapcheck", "shimcheck", "spawncheck"}
+	want := []string{"clockcheck", "ctxfirst", "lockscope", "errwrapcheck", "spawncheck"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(got), len(want))

@@ -388,22 +388,6 @@ func Collect[T any](ctx context.Context, src Source[T]) ([]T, error) {
 	}
 }
 
-// CollectInto drains the source into the given slice (append), reusing
-// its capacity. On error the accumulated slice is discarded.
-func CollectInto[T any](ctx context.Context, src Source[T], into []T) ([]T, error) {
-	out := into[:0]
-	for {
-		item, ok, err := src.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, item)
-	}
-}
-
 // Gauge tracks a current value and its high-water mark, atomically — the
 // instrumentation hook for "peak in-flight offers" style measurements.
 // The zero Gauge is ready to use; a nil *Gauge is a no-op on every

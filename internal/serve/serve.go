@@ -10,7 +10,7 @@
 //	POST /v1/synthesize/stream  waves in, NDJSON per-wave results (incl. seal events) out
 //	POST /v1/reload             re-learn in the background, atomically swap the model
 //	GET  /healthz               liveness (200 while the process runs)
-//	GET  /readyz                readiness (503 while draining or unlearned)
+//	GET  /readyz                readiness (503 while draining)
 //	GET  /metrics               Prometheus text format
 //
 // Production posture:
@@ -63,8 +63,10 @@ type Options struct {
 	// Reload produces a replacement Model for /v1/reload — typically a
 	// background re-Learn over fresh historical data, or re-reading a
 	// bundle. Nil disables the endpoint (501). It runs outside any
-	// request deadline; errors are reported to the /v1/reload caller (in
-	// wait mode) and counted in synthd_reloads_total{result="error"}.
+	// request deadline. A failed reload — an error or a nil Model — is
+	// reported to the /v1/reload caller (in wait mode) and counted in
+	// synthd_reloads_total{result="error"}; the current model keeps
+	// serving.
 	Reload func(ctx context.Context) (*prodsynth.Model, error)
 	// WrapFetcher, when set, wraps the page fetcher built from each
 	// request's pages before synthesis — the seam for a ResilientFetcher
@@ -245,14 +247,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case s.sys.Model() == nil:
-		http.Error(w, "no model", http.StatusServiceUnavailable)
-	default:
-		fmt.Fprintln(w, "ready")
+		return
 	}
+	fmt.Fprintln(w, "ready")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -425,6 +424,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		// survive the 202 response (and the client's disconnect).
 		//lint:allow ctxfirst background reload outliving the triggering request is the endpoint's contract
 		model, err := s.opts.Reload(context.Background())
+		if err == nil && model == nil {
+			err = errors.New("reload returned no model")
+		}
 		if err != nil {
 			s.reg.Counter("synthd_reloads_total", "Hot reloads by outcome.", "result", "error").Inc()
 			s.opts.Logger.Printf("synthd: reload failed: %v", err)

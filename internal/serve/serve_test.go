@@ -397,7 +397,9 @@ func TestReloadUnderLoad(t *testing.T) {
 }
 
 // TestReloadEndpointStates covers the endpoint's refusal paths: 501
-// without a Reload callback, 409 while a reload is in flight.
+// without a Reload callback, 409 while a reload is in flight, and 500 when
+// the callback returns no model — a failed reload that keeps the current
+// generation serving.
 func TestReloadEndpointStates(t *testing.T) {
 	_, sys := learnedSystem(t)
 	ts := httptest.NewServer(serve.New(sys, serve.Options{}))
@@ -441,6 +443,34 @@ func TestReloadEndpointStates(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("reload callback ran %d times, want 1", calls.Load())
+	}
+
+	ds, sys3 := learnedSystem(t)
+	ts3 := httptest.NewServer(serve.New(sys3, serve.Options{
+		Reload: func(context.Context) (*prodsynth.Model, error) { return nil, nil },
+	}))
+	defer ts3.Close()
+	resp, body = post(t, ts3.Client(), ts3.URL+"/v1/reload?wait=1", struct{}{})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("reload returning no model: status = %d, body %s, want 500", resp.StatusCode, body)
+	}
+	if gen := sys3.Generation(); gen != 1 {
+		t.Errorf("failed reload moved the generation to %d, want 1", gen)
+	}
+	if m := scrapeMetrics(t, ts3); !strings.Contains(m, `synthd_reloads_total{result="error"} 1`) {
+		t.Errorf("metrics do not count the nil-model reload as an error:\n%s", m)
+	}
+	ready, err := ts3.Client().Get(ts3.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, ready.Body)
+	ready.Body.Close()
+	if ready.StatusCode != http.StatusOK {
+		t.Errorf("readyz after a failed reload: status = %d, want 200", ready.StatusCode)
+	}
+	if resp, body := post(t, ts3.Client(), ts3.URL+"/v1/synthesize", synthesizeRequest(ds)); resp.StatusCode != http.StatusOK {
+		t.Errorf("synthesize after a failed reload: status = %d, body %s, want 200", resp.StatusCode, body)
 	}
 }
 
@@ -640,9 +670,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestHealthEndpoints pins the liveness/readiness split: healthz is
-// always 200; readyz is 200 on a learned server and 503 on an unlearned
-// one.
+// TestHealthEndpoints pins that a serving (not draining) server is live
+// and ready: healthz and readyz both answer 200. Readiness during drain is
+// covered by TestGracefulDrain.
 func TestHealthEndpoints(t *testing.T) {
 	_, sys := learnedSystem(t)
 	ts := httptest.NewServer(serve.New(sys, serve.Options{}))
@@ -657,18 +687,5 @@ func TestHealthEndpoints(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("%s: status = %d, want %d", path, resp.StatusCode, want)
 		}
-	}
-
-	unlearned := prodsynth.NewSystem(prodsynth.NewCatalog(), nil)
-	ts2 := httptest.NewServer(serve.New(unlearned, serve.Options{}))
-	defer ts2.Close()
-	resp, err := ts2.Client().Get(ts2.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz on unlearned system: status = %d, want 503", resp.StatusCode)
 	}
 }

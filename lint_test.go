@@ -9,7 +9,7 @@ import (
 // TestVetsynthSelfScan runs the full vetsynth analyzer suite over the
 // module: every invariant the suite encodes — injectable clocks,
 // context-first entry points, I/O-free shard critical sections,
-// %w-wrapped sentinels, compat-shim markers, join-guarded goroutines —
+// %w-wrapped sentinels, join-guarded goroutines —
 // holds for the tree as committed. A finding here reproduces exactly what
 // `go run ./cmd/vetsynth ./...` would print in CI.
 func TestVetsynthSelfScan(t *testing.T) {

@@ -58,7 +58,7 @@ func (m *Model) ScoredCandidates() []Correspondence {
 type Option func(*Config)
 
 // WithConfig replaces the whole Config — the bridge for code that already
-// assembles a Config value (including everything ported from the v1 API).
+// assembles a Config value.
 func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 
 // WithWorkers bounds the pipeline's worker pools. Output is identical for
@@ -110,9 +110,9 @@ func buildConfig(opts []Option) Config {
 // set construction, classifier training, and correspondence selection. It
 // returns the learned artifact as an immutable Model.
 //
-// Cancelling ctx stops the phase at the next stage boundary (or between
-// worker-pool jobs inside a stage) with ctx.Err(); the bounded pools are
-// always joined before Learn returns, so cancellation leaks no goroutines.
+// Cancelling ctx stops the phase at the next stage boundary (or at the
+// next pull inside a stage) with ctx.Err(); every worker goroutine exits
+// once ctx is cancelled, so cancellation leaks no goroutines.
 //
 // A configured WithFetchPolicy applies here too: historical-page fetches
 // retry under the policy, and the learning run's fetch activity —

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"prodsynth/internal/categorize"
@@ -231,8 +232,8 @@ func TestLoadModelStrict(t *testing.T) {
 }
 
 // TestSystemUseHotSwap pins the atomic model swap: a System built from one
-// model serves a different one after Use, and Use(nil) returns the system
-// to the unlearned state.
+// model serves a different one after Use, and Use(nil) panics without
+// disturbing the served model.
 func TestSystemUseHotSwap(t *testing.T) {
 	ctx := context.Background()
 	ds := marketplace(t)
@@ -266,10 +267,24 @@ func TestSystemUseHotSwap(t *testing.T) {
 		t.Log("warning: threshold change produced identical mapping counts; swap still verified by pointer")
 	}
 
-	sys.Use(nil)
-	if _, err := sys.SynthesizeContext(ctx, ds.IncomingOffers, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
-		t.Fatalf("after Use(nil): err = %v, want ErrNotLearned", err)
+	gen := sys.Generation()
+	assertPanics(t, "System.Use", func() { sys.Use(nil) })
+	if sys.Model() != m2 || sys.Generation() != gen {
+		t.Fatal("Use(nil) disturbed the served model")
 	}
+}
+
+// assertPanics fails unless fn panics with a message naming call.
+func assertPanics(t *testing.T, call string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, call) {
+			t.Fatalf("panic = %v, want a panic naming %s", r, call)
+		}
+	}()
+	fn()
 }
 
 // TestModelFromCorrespondences pins the TSV-interchange path: a model

@@ -2,7 +2,6 @@ package prodsynth
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -19,11 +18,7 @@ import (
 func learned(t *testing.T, cfg Config) (*Marketplace, *System) {
 	t.Helper()
 	ds := marketplace(t)
-	sys := New(ds.Catalog, cfg)
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	return ds, sys
+	return ds, learnSystem(t, ds.Catalog, ds, WithConfig(cfg))
 }
 
 // contiguousWaves splits offers into n contiguous waves.
@@ -85,7 +80,7 @@ func runStream(t *testing.T, sys *System, waves [][]Offer, pages PageFetcher, op
 func TestSynthesizeStreamEquivalence(t *testing.T) {
 	ds, sys := learned(t, Config{})
 	fetcher := MapFetcher(ds.Pages)
-	oneShot, err := sys.Synthesize(ds.IncomingOffers, fetcher)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +190,7 @@ func TestSynthesizeStreamMemoryDisabledMatchesBatches(t *testing.T) {
 	fetcher := MapFetcher(ds.Pages)
 	waves := contiguousWaves(ds.IncomingOffers, 3)
 
-	batched, err := sys.SynthesizeBatches(waves, fetcher)
+	batched, err := sys.SynthesizeBatchesContext(context.Background(), waves, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +233,7 @@ func TestSynthesizeStreamMemoryDisabledMatchesBatches(t *testing.T) {
 func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 	ds, sys := learned(t, Config{})
 	fetcher := MapFetcher(ds.Pages)
-	oneShot, err := sys.Synthesize(ds.IncomingOffers, fetcher)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +284,7 @@ func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 
 	// Batch runs have no cross-batch memory: the product synthesizes in
 	// both batches.
-	batched, err := sys.SynthesizeBatches(waves, fetcher)
+	batched, err := sys.SynthesizeBatchesContext(context.Background(), waves, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,16 +316,6 @@ func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 	}
 }
 
-// TestSynthesizeStreamNotLearned mirrors the batch APIs' contract.
-func TestSynthesizeStreamNotLearned(t *testing.T) {
-	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-	in := make(chan []Offer)
-	if _, err := sys.SynthesizeStream(context.Background(), in, MapFetcher(ds.Pages), StreamOptions{}); !errors.Is(err, ErrNotLearned) {
-		t.Fatalf("err = %v, want ErrNotLearned", err)
-	}
-}
-
 // badOffer forges an incoming offer whose landing page cannot be fetched.
 func badOffer(ds *Marketplace) Offer {
 	o := ds.IncomingOffers[0].Clone()
@@ -348,7 +333,7 @@ func TestSynthesizeBatchesPartialFailure(t *testing.T) {
 	waves := contiguousWaves(ds.IncomingOffers, 2)
 	batches := [][]Offer{waves[0], {badOffer(ds)}, waves[1]}
 
-	res, err := sys.SynthesizeBatches(batches, fetcher)
+	res, err := sys.SynthesizeBatchesContext(context.Background(), batches, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,12 +520,12 @@ func (f *blockAfterFetcher) Fetch(url string) (string, error) {
 // pipeline goroutine (stage boundary, both stages' worker pools) must
 // exit.
 func TestStreamPipelinedCancelTwoWavesInFlight(t *testing.T) {
-	ds, v1 := learned(t, Config{})
+	ds, ungated := learned(t, Config{})
 	wave1 := ds.IncomingOffers[:8]
 	wave2 := ds.IncomingOffers[8:16]
 
 	// The gate only trips if wave 1 actually fuses something.
-	sanity, err := v1.Synthesize(wave1, MapFetcher(ds.Pages))
+	sanity, err := ungated.SynthesizeContext(context.Background(), wave1, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +536,7 @@ func TestStreamPipelinedCancelTwoWavesInFlight(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	gate := newGateStrategy()
 	fetchGate := newBlockAfterFetcher(MapFetcher(ds.Pages), len(wave1))
-	sys := NewSystem(ds.Catalog, v1.Model(), WithConfig(Config{Fusion: gate}))
+	sys := NewSystem(ds.Catalog, ungated.Model(), WithConfig(Config{Fusion: gate}))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -637,7 +622,7 @@ func TestStreamConcurrentCatalogGrowth(t *testing.T) {
 func TestSynthesizeStreamEquivalenceWithSpill(t *testing.T) {
 	ds, base := learned(t, Config{})
 	fetcher := MapFetcher(ds.Pages)
-	oneShot, err := base.Synthesize(ds.IncomingOffers, fetcher)
+	oneShot, err := base.SynthesizeContext(context.Background(), ds.IncomingOffers, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,10 +646,7 @@ func TestSynthesizeStreamEquivalenceWithSpill(t *testing.T) {
 			name := fmt.Sprintf("%s/open=%d/idle=%d", f.name, opts.MaxOpenClusters, opts.MaxIdleWaves)
 			cfg := Config{}
 			cfg.Spill = f.mk(t)
-			sys := New(ds.Catalog, cfg)
-			if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-				t.Fatal(err)
-			}
+			sys := learnSystem(t, ds.Catalog, ds, WithConfig(cfg))
 			for _, n := range []int{1, 3, 7, len(ds.IncomingOffers)} {
 				waves := contiguousWaves(ds.IncomingOffers, n)
 				perWave, final := runStream(t, sys, waves, fetcher, opts)

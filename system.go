@@ -33,9 +33,6 @@ func wrapFetch(pages core.PageFetcher, cfg Config) core.PageFetcher {
 // from a Model (Learn or LoadModel), so a System is never "not learned";
 // in a long-lived process, swap in a re-learned Model atomically with Use
 // while synthesis traffic is in flight.
-//
-// The deprecated v1 constructor New builds a System without a Model; only
-// on that path can the synthesis entry points return ErrNotLearned.
 type System struct {
 	store *Catalog
 	cfg   Config
@@ -58,14 +55,14 @@ type modelSlot struct {
 // NewSystem creates a System serving synthesis over a catalog with a
 // learned Model. The zero Config (no options) applies the paper's
 // defaults; pass WithConfig or the finer-grained options to tune the
-// runtime pipeline. The Model it is built with is generation 1.
+// runtime pipeline. The Model it is built with is generation 1. A nil
+// model is a programmer error and panics.
 func NewSystem(store *Catalog, model *Model, opts ...Option) *System {
-	s := &System{store: store, cfg: buildConfig(opts)}
-	var g uint64
-	if model != nil {
-		g = s.gen.Add(1)
+	if model == nil {
+		panic("prodsynth: NewSystem called with a nil Model")
 	}
-	s.slot.Store(&modelSlot{model: model, gen: g})
+	s := &System{store: store, cfg: buildConfig(opts)}
+	s.slot.Store(&modelSlot{model: model, gen: s.gen.Add(1)})
 	return s
 }
 
@@ -73,35 +70,25 @@ func NewSystem(store *Catalog, model *Model, opts ...Option) *System {
 // before the swap finish against the old model, calls that start after it
 // use the new one. This is the hot-reload path for a serving process that
 // re-learns (or re-loads) its model without downtime. Every swap bumps the
-// System's model generation (see Generation); a nil model resets the
-// System to the unlearned state (ErrNotLearned).
+// System's model generation (see Generation). A nil model is a
+// programmer error and panics, leaving the current model in place.
 func (s *System) Use(model *Model) {
+	if model == nil {
+		panic("prodsynth: System.Use called with a nil Model")
+	}
 	s.slot.Store(&modelSlot{model: model, gen: s.gen.Add(1)})
 }
 
-// Model returns the Model the System currently serves with, or nil on the
-// deprecated v1 path before Learn.
+// Model returns the Model the System currently serves with.
 func (s *System) Model() *Model { return s.slot.Load().model }
 
 // Generation returns the generation number of the Model the System
 // currently serves with: 1 for the Model passed to NewSystem, incremented
-// by every Use. Zero only on the deprecated v1 path before Learn. A
-// serving process exposes this as the observable marker of a completed
+// by every Use. A serving process exposes this as the observable marker of a completed
 // hot reload, and every Result reports the generation that produced it
 // (Result.ModelGeneration), so responses spanning a swap are attributable
 // to exactly one model.
 func (s *System) Generation() uint64 { return s.slot.Load().gen }
-
-// current is the nil-guarded slot fetch shared by the synthesis entry
-// points: one atomic load, so a concurrent Use cannot change the model —
-// or detach it from its generation — mid-call.
-func (s *System) current() (*modelSlot, error) {
-	sl := s.slot.Load()
-	if sl.model == nil {
-		return nil, ErrNotLearned
-	}
-	return sl, nil
-}
 
 // Result is the outcome of a synthesis run.
 type Result struct {
@@ -152,15 +139,13 @@ type Result struct {
 // the System's current Model. Cancelling ctx stops the pipeline's worker
 // pools at the next stage boundary with ctx.Err() and leaks no goroutines.
 func (s *System) SynthesizeContext(ctx context.Context, incoming []Offer, pages PageFetcher) (*Result, error) {
-	sl, err := s.current()
-	if err != nil {
-		return nil, err
-	}
-	return s.synthesize(ctx, sl, incoming, wrapFetch(pages, s.cfg))
+	return s.synthesize(ctx, s.slot.Load(), incoming, wrapFetch(pages, s.cfg))
 }
 
 // synthesize runs one batch against a pinned model slot — the shared core
-// of the one-shot and batch entry points.
+// of the one-shot and batch entry points. The slot is pinned with one
+// atomic load, so a concurrent Use cannot change the model — or detach it
+// from its generation — mid-call.
 func (s *System) synthesize(ctx context.Context, sl *modelSlot, incoming []Offer, pages PageFetcher) (*Result, error) {
 	start := time.Now()
 	run, err := core.RunRuntime(ctx, s.store, sl.model.offline, incoming, pages, s.cfg)
@@ -212,10 +197,7 @@ type BatchResult struct {
 // Result.Err and the run continues — except for ctx cancellation, which
 // stops the run and returns ctx.Err().
 func (s *System) SynthesizeBatchesContext(ctx context.Context, batches [][]Offer, pages PageFetcher) (*BatchResult, error) {
-	sl, err := s.current()
-	if err != nil {
-		return nil, err
-	}
+	sl := s.slot.Load()
 	out := &BatchResult{Batches: make([]*Result, 0, len(batches))}
 	out.Total.ModelGeneration = sl.gen
 	// One wrap for the whole sequence: breaker state and fetch counters
@@ -368,12 +350,9 @@ type StreamResult struct {
 // pipeline — whatever stage each in-flight wave is in — and closes the
 // channel without the final result; every pipeline goroutine exits once
 // ctx is cancelled or waves is closed, even if the consumer stops
-// reading. A System built without a Model returns ErrNotLearned.
+// reading. The error result is always nil.
 func (s *System) SynthesizeStream(ctx context.Context, waves <-chan []Offer, pages PageFetcher, opts StreamOptions) (<-chan StreamResult, error) {
-	sl, err := s.current()
-	if err != nil {
-		return nil, err
-	}
+	sl := s.slot.Load()
 	cfg := s.cfg
 	if opts.FetchPolicy != nil {
 		cfg.Fetch = *opts.FetchPolicy
