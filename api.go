@@ -46,6 +46,14 @@
 // README.md ("Pipeline architecture") for the stage diagram, buffer and
 // backpressure semantics, and a ClusterSealed consumer recipe.
 //
+// Every runtime entry point reports one result shape, [Result]:
+// [System.SynthesizeContext] returns one, [BatchResult] holds one per
+// batch plus their Total, and every [StreamResult] embeds one, adding
+// only the stream's own fields (wave index, Final, Sealed events,
+// cluster-memory sizes, and the prepare/fuse split of Elapsed).
+// [System.SynthesizeBatchesContext] is a stream with cluster memory
+// disabled, so batches and streams share one execution path.
+//
 // # Robustness and degraded mode
 //
 // Landing-page retrieval is the pipeline's one external boundary, and it

@@ -10,7 +10,6 @@
 //	experiments -all -cpuprofile cpu.prof -memprofile mem.prof
 //	experiments -stream 16               # replay incoming offers as a 16-wave feed
 //	experiments -faults                  # fault-injection replay: retry recovery, host outage
-//	experiments -servebench BENCH_serve.json  # HTTP serving layer: requests/sec, p50/p99
 //
 // Output is text shaped like the paper's tables and figures (coverage /
 // precision series), suitable for EXPERIMENTS.md. The profile flags
@@ -25,7 +24,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -47,31 +45,28 @@ func main() {
 
 func realMain() int {
 	var (
-		all        = flag.Bool("all", false, "run every experiment")
-		table2     = flag.Bool("table2", false, "Table 2: end-to-end synthesis quality")
-		table3     = flag.Bool("table3", false, "Table 3: per top-level category")
-		table4     = flag.Bool("table4", false, "Table 4: recall by offer-set size")
-		fig6       = flag.Bool("fig6", false, "Figure 6: classifier vs single features")
-		fig7       = flag.Bool("fig7", false, "Figure 7: with vs without historical matches")
-		fig8       = flag.Bool("fig8", false, "Figure 8: baseline comparison")
-		fig9       = flag.Bool("fig9", false, "Figure 9: COMA++ delta settings")
-		ablate     = flag.Bool("ablations", false, "ablation sweeps")
-		nstream    = flag.Int("stream", 0, "replay the incoming offers as a continuous feed of this many waves")
-		faults     = flag.Bool("faults", false, "fault-injection replay: retry recovery and host-outage scenarios")
-		benchjson  = flag.String("benchjson", "", "measure batch vs stream (pipelined and barrier) and write a JSON report here")
-		servebench = flag.String("servebench", "", "measure the HTTP serving layer (requests/sec, p50/p99) and write a JSON report here")
-		durbench   = flag.String("durbench", "", "measure the durable catalog layer (snapshot codec MB/s, WAL append ns/record, replay records/sec) and write a JSON report here")
-		scale      = flag.String("scale", "medium", "corpus scale: small, medium, large")
-		seed       = flag.Int64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "pipeline worker pool size (0 = default)")
-		out        = flag.String("out", "", "write report here (default stdout)")
+		all     = flag.Bool("all", false, "run every experiment")
+		table2  = flag.Bool("table2", false, "Table 2: end-to-end synthesis quality")
+		table3  = flag.Bool("table3", false, "Table 3: per top-level category")
+		table4  = flag.Bool("table4", false, "Table 4: recall by offer-set size")
+		fig6    = flag.Bool("fig6", false, "Figure 6: classifier vs single features")
+		fig7    = flag.Bool("fig7", false, "Figure 7: with vs without historical matches")
+		fig8    = flag.Bool("fig8", false, "Figure 8: baseline comparison")
+		fig9    = flag.Bool("fig9", false, "Figure 9: COMA++ delta settings")
+		ablate  = flag.Bool("ablations", false, "ablation sweeps")
+		nstream = flag.Int("stream", 0, "replay the incoming offers as a continuous feed of this many waves")
+		faults  = flag.Bool("faults", false, "fault-injection replay: retry recovery and host-outage scenarios")
+		scale   = flag.String("scale", "medium", "corpus scale: small, medium, large")
+		seed    = flag.Int64("seed", 1, "random seed")
+		workers = flag.Int("workers", 0, "pipeline worker pool size (0 = default)")
+		out     = flag.String("out", "", "write report here (default stdout)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	)
 	flag.Parse()
 
-	if !(*all || *table2 || *table3 || *table4 || *fig6 || *fig7 || *fig8 || *fig9 || *ablate || *nstream > 0 || *faults || *benchjson != "" || *servebench != "" || *durbench != "") {
+	if !(*all || *table2 || *table3 || *table4 || *fig6 || *fig7 || *fig8 || *fig9 || *ablate || *nstream > 0 || *faults) {
 		flag.Usage()
 		return 2
 	}
@@ -127,8 +122,7 @@ func realMain() int {
 	err := run(w, runConfig{
 		all: *all, table2: *table2, table3: *table3, table4: *table4,
 		fig6: *fig6, fig7: *fig7, fig8: *fig8, fig9: *fig9, ablate: *ablate,
-		nstream: *nstream, faults: *faults, benchjson: *benchjson,
-		servebench: *servebench, durbench: *durbench,
+		nstream: *nstream, faults: *faults,
 		scale: *scale, seed: *seed, workers: *workers,
 	})
 	if err != nil {
@@ -143,9 +137,6 @@ type runConfig struct {
 	fig6, fig7, fig8, fig9, ablate bool
 	nstream                        int
 	faults                         bool
-	benchjson                      string
-	servebench                     string
-	durbench                       string
 	scale                          string
 	seed                           int64
 	workers                        int
@@ -213,26 +204,6 @@ func run(w io.Writer, rc runConfig) error {
 			return err
 		}
 	}
-	if rc.benchjson != "" {
-		if err := runBenchPipeline(w, env, rc, rc.benchjson); err != nil {
-			return err
-		}
-		// The fetch-layer companion report lands next to the pipeline one.
-		fetchPath := filepath.Join(filepath.Dir(rc.benchjson), "BENCH_fetch.json")
-		if err := runBenchFetch(w, env, rc, fetchPath); err != nil {
-			return err
-		}
-	}
-	if rc.servebench != "" {
-		if err := runServeBench(w, env, rc, rc.servebench); err != nil {
-			return err
-		}
-	}
-	if rc.durbench != "" {
-		if err := runDurBench(w, rc, rc.durbench); err != nil {
-			return err
-		}
-	}
 	fmt.Fprintf(w, "# total %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
@@ -241,7 +212,8 @@ func run(w io.Writer, rc runConfig) error {
 // feed of n waves through the streaming pipeline with cross-batch
 // cluster memory, reports per-wave cost and cluster-memory activity, and
 // checks the merged stream output against the one-shot runtime result
-// the Env already holds — the stream≡batch equivalence, live.
+// the Env already holds — the stream≡batch equivalence, live. A mismatch
+// is an error.
 func runStreamReplay(w io.Writer, env *experiments.Env, n int) error {
 	offers := env.Dataset.IncomingOffers
 	if n > len(offers) {
@@ -294,6 +266,9 @@ func runStreamReplay(w io.Writer, env *experiments.Env, n int) error {
 
 	verdict := productsVerdict(final.Products, env.Runtime.Products)
 	fmt.Fprintf(w, "# stream ≡ one-shot synthesis: %s\n\n", verdict)
+	if verdict != "IDENTICAL" {
+		return fmt.Errorf("stream replay: merged products differ from one-shot synthesis: %s", verdict)
+	}
 	return nil
 }
 

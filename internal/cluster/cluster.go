@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"sort"
 	"strings"
 
 	"prodsynth/internal/catalog"
@@ -210,39 +209,4 @@ func (u *unionFind) union(a, b string) {
 	if ra != rb {
 		u.parent[rb] = ra
 	}
-}
-
-// Stats summarizes a clustering result.
-type Stats struct {
-	Clusters      int
-	Offers        int
-	Skipped       int
-	LargestSize   int
-	SingletonSize int // number of single-offer clusters
-}
-
-// Summarize computes statistics over a clustering result.
-func Summarize(clusters []Cluster, skipped []offer.Offer) Stats {
-	st := Stats{Clusters: len(clusters), Skipped: len(skipped)}
-	for _, c := range clusters {
-		st.Offers += len(c.Offers)
-		if len(c.Offers) > st.LargestSize {
-			st.LargestSize = len(c.Offers)
-		}
-		if len(c.Offers) == 1 {
-			st.SingletonSize++
-		}
-	}
-	return st
-}
-
-// SortBySize orders clusters by descending member count (stable; ties by
-// key) — convenient for reporting.
-func SortBySize(clusters []Cluster) {
-	sort.SliceStable(clusters, func(i, j int) bool {
-		if len(clusters[i].Offers) != len(clusters[j].Offers) {
-			return len(clusters[i].Offers) > len(clusters[j].Offers)
-		}
-		return clusters[i].Key < clusters[j].Key
-	})
 }

@@ -145,26 +145,6 @@ func TestNormalizeKey(t *testing.T) {
 	}
 }
 
-func TestSummarizeAndSort(t *testing.T) {
-	offers := []offer.Offer{
-		mkOffer("o1", "hd", "A", ""),
-		mkOffer("o2", "hd", "A", ""),
-		mkOffer("o3", "hd", "A", ""),
-		mkOffer("o4", "hd", "B", ""),
-		{ID: "o5", CategoryID: "hd"},
-	}
-	clusters, skipped := Group(offers, Options{})
-	st := Summarize(clusters, skipped)
-	if st.Clusters != 2 || st.Offers != 4 || st.Skipped != 1 ||
-		st.LargestSize != 3 || st.SingletonSize != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	SortBySize(clusters)
-	if clusters[0].Key != "A" {
-		t.Errorf("sort order wrong: %+v", clusters)
-	}
-}
-
 func TestGroupDeterministicOrder(t *testing.T) {
 	offers := []offer.Offer{
 		mkOffer("o1", "hd", "Z", ""),

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/categorize"
@@ -483,22 +484,49 @@ func OfflineFromCorrespondences(set *correspond.Set, classifier *categorize.Clas
 	}
 }
 
-// RuntimeResult is the output of the runtime offer processing pipeline.
-type RuntimeResult struct {
+// Result is the outcome of a synthesis run.
+type Result struct {
 	// Products are the synthesized product instances.
 	Products []fusion.Synthesized
-	// Reconcile counts pair translation outcomes.
-	Reconcile reconcile.Stats
-	// Clusters summarizes the clustering step.
-	Clusters cluster.Stats
-	// SkippedNoKey are reconciled offers with no key attribute.
-	SkippedNoKey []offer.Offer
+	// PairsDropped counts extracted attribute-value pairs discarded for
+	// lack of a correspondence (the noise filter of §4).
+	PairsDropped int
+	// PairsMapped counts pairs translated into catalog vocabulary.
+	PairsMapped int
+	// OffersWithoutKey counts reconciled offers that could not be
+	// clustered because no key attribute survived reconciliation.
+	OffersWithoutKey int
 	// ExcludedMatched counts incoming offers dropped because they match
-	// an existing catalog product.
+	// an existing catalog product — the run's match count against the
+	// warm indexes.
 	ExcludedMatched int
-	// Fetch accounts the run's landing-page fetches, including the offers
-	// that proceeded feed-only (lenient mode's graceful degradation).
+	// Offers is the number of incoming offers the run processed.
+	Offers int
+	// Clusters is the number of offer clusters value fusion synthesized
+	// from (one synthesized product per cluster).
+	Clusters int
+	// Elapsed is the wall-clock duration of the run. In a BatchResult it
+	// makes the per-batch cost of a wave visible next to its match and
+	// fusion counts.
+	Elapsed time.Duration
+	// ModelGeneration is the System.Generation of the Model this result
+	// was synthesized against. The model is pinned per call (per batch
+	// run, per stream), so every product in one Result comes from this one
+	// generation even when a Use swap lands mid-run.
+	ModelGeneration uint64
+	// Fetch accounts the run's landing-page fetches: operation counters
+	// (exact when a FetchPolicy or other counter-keeping fetcher is in
+	// use) and the sorted IDs of offers that proceeded feed-only because
+	// their page could not be fetched — lenient mode's observable
+	// graceful degradation.
 	Fetch fetch.Report
+	// Err is set on a per-batch Result inside BatchResult (or a
+	// StreamResult) when that batch failed; the other fields are zero
+	// except Offers, Elapsed and ModelGeneration. A failed batch does not
+	// stop later batches. Always nil on a Result returned directly by
+	// SynthesizeContext, which reports failure through its error return
+	// instead.
+	Err error
 }
 
 // Prepared is the output of the front half of the runtime pipeline —
@@ -572,15 +600,17 @@ func FuseClusters(ctx context.Context, clusters []cluster.Cluster, cfg Config) (
 // artifacts of an offline learning run. Cancellation of ctx is observed at
 // stage boundaries and between worker-pool jobs; the error is then
 // ctx.Err().
-func RunRuntime(ctx context.Context, store *catalog.Store, offline *OfflineResult, incoming []offer.Offer, pages PageFetcher, cfg Config) (*RuntimeResult, error) {
+func RunRuntime(ctx context.Context, store *catalog.Store, offline *OfflineResult, incoming []offer.Offer, pages PageFetcher, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	prep, err := PrepareIncoming(ctx, store, offline, incoming, pages, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &RuntimeResult{
-		Reconcile:       prep.Reconcile,
+	res := &Result{
+		PairsDropped:    prep.Reconcile.PairsDropped,
+		PairsMapped:     prep.Reconcile.PairsMapped,
 		ExcludedMatched: prep.ExcludedMatched,
+		Offers:          len(incoming),
 		Fetch:           prep.Fetch,
 	}
 
@@ -588,8 +618,8 @@ func RunRuntime(ctx context.Context, store *catalog.Store, offline *OfflineResul
 	// the category the classifier assigned each offer, so clusters may
 	// span category tasks and cannot be formed per category.
 	clusters, skipped := cluster.Group(prep.Kept, cluster.Options{KeyAttrs: cfg.ClusterKeys})
-	res.SkippedNoKey = skipped
-	res.Clusters = cluster.Summarize(clusters, skipped)
+	res.OffersWithoutKey = len(skipped)
+	res.Clusters = len(clusters)
 	res.Products, err = FuseClusters(ctx, clusters, cfg)
 	if err != nil {
 		return nil, err

@@ -186,7 +186,7 @@ func TestEndToEndSynthesis(t *testing.T) {
 	if pairs == 0 || float64(correctPairs)/float64(pairs) < 0.8 {
 		t.Errorf("attribute agreement = %d/%d", correctPairs, pairs)
 	}
-	if run.Reconcile.PairsDropped == 0 {
+	if run.PairsDropped == 0 {
 		t.Error("expected noise pairs to be dropped by reconciliation")
 	}
 }
@@ -271,13 +271,14 @@ func TestPrepareIncomingComposesToRunRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep.Reconcile != run.Reconcile || prep.ExcludedMatched != run.ExcludedMatched {
-		t.Errorf("front-half stats %+v/%d, want %+v/%d",
-			prep.Reconcile, prep.ExcludedMatched, run.Reconcile, run.ExcludedMatched)
+	if prep.Reconcile.PairsMapped != run.PairsMapped || prep.Reconcile.PairsDropped != run.PairsDropped ||
+		prep.ExcludedMatched != run.ExcludedMatched {
+		t.Errorf("front-half stats %+v/%d, want %d/%d/%d",
+			prep.Reconcile, prep.ExcludedMatched, run.PairsMapped, run.PairsDropped, run.ExcludedMatched)
 	}
 	clusters, skipped := cluster.Group(prep.Kept, cluster.Options{})
-	if len(skipped) != len(run.SkippedNoKey) {
-		t.Errorf("skipped %d, want %d", len(skipped), len(run.SkippedNoKey))
+	if len(skipped) != run.OffersWithoutKey {
+		t.Errorf("skipped %d, want %d", len(skipped), run.OffersWithoutKey)
 	}
 	products, err := FuseClusters(context.Background(), clusters, Config{})
 	if err != nil {
@@ -514,7 +515,7 @@ func TestPipelineDeterministic(t *testing.T) {
 		for i, p := range rt.Products {
 			keys[i] = p.CategoryID + "/" + p.Key
 		}
-		return keys, rt.Reconcile.PairsMapped
+		return keys, rt.PairsMapped
 	}
 	k1, m1 := run()
 	k2, m2 := run()

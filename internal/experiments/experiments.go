@@ -33,7 +33,7 @@ import (
 type Env struct {
 	Dataset *synth.Dataset
 	Offline *core.OfflineResult
-	Runtime *core.RuntimeResult
+	Runtime *core.Result
 	Config  core.Config
 }
 
@@ -108,7 +108,7 @@ func Table2(e *Env) Table2Result {
 		OfflineStats:     e.Offline.Stats,
 		PredictedValid:   predicted,
 		ExcludedMatched:  e.Runtime.ExcludedMatched,
-		OffersWithoutKey: len(e.Runtime.SkippedNoKey),
+		OffersWithoutKey: e.Runtime.OffersWithoutKey,
 		Sampled: eval.GradeSynthesisSampled(e.Runtime.Products, e.Dataset.Truth,
 			e.Dataset.Universe, 400, 0.95, 1),
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTokenizeSimple(t *testing.T) {
@@ -131,11 +132,45 @@ func TestUnescapeEntities(t *testing.T) {
 		{"&", "&"},
 		{"&#0;", "&#0;"},
 		{"5&quot;", `5"`},
+		// The ';' lookahead window: a reference ends at most 10 bytes
+		// after its '&'.
+		{"&#x0000041;", "A"},             // ';' at offset 10: decoded
+		{"&#x00000041;", "&#x00000041;"}, // ';' at offset 11: verbatim
+		{"x&#00000065;y", "xAy"},         // decimal, offset 10
+		{"&#000000065;", "&#000000065;"}, // decimal, offset 11
+		{"&amp &lt;", "&amp <"},          // nearest ';' belongs to the next reference
+		{"&ampxxxxxxxxxxxxxx; b", "&ampxxxxxxxxxxxxxx; b"},
+		{"&#x4&#x4&#x41;", "&#x4&#x4A"}, // '&' inside the window starts its own reference
 	}
 	for _, c := range cases {
 		if got := UnescapeEntities(c.in); got != c.want {
 			t.Errorf("UnescapeEntities(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// TestUnescapeEntitiesLinear guards against the decoder rescanning the
+// rest of the input on every '&': on a page of unterminated references,
+// 4x the input must cost about 4x the time, not 16x. The minimum of
+// several runs filters scheduler and GC noise; 8x leaves room for it
+// while still failing a quadratic decoder (about 20x).
+func TestUnescapeEntitiesLinear(t *testing.T) {
+	best := func(n int) time.Duration {
+		s := strings.Repeat("&#x4", n/4)
+		fastest := time.Duration(1 << 62)
+		for i := 0; i < 7; i++ {
+			start := time.Now()
+			UnescapeEntities(s)
+			if d := time.Since(start); d < fastest {
+				fastest = d
+			}
+		}
+		return fastest
+	}
+	small, large := best(64<<10), best(256<<10)
+	if large > 8*small {
+		t.Errorf("256 KB took %v, 64 KB took %v: %.1fx for 4x the input, want < 8x",
+			large, small, float64(large)/float64(small))
 	}
 }
 

@@ -252,8 +252,11 @@ func UnescapeEntities(s string) string {
 			i++
 			continue
 		}
-		semi := strings.IndexByte(s[i:], ';')
-		if semi < 0 || semi > 10 {
+		// A reference is at most 10 bytes up to its ';', so search only
+		// that window: scanning to the end of s on every '&' would make
+		// decoding quadratic in the input.
+		semi := strings.IndexByte(s[i:min(i+11, len(s))], ';')
+		if semi < 0 {
 			b.WriteByte(c)
 			i++
 			continue

@@ -7,11 +7,9 @@ import (
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/cluster"
 	"prodsynth/internal/core"
-	"prodsynth/internal/fetch"
 	"prodsynth/internal/fusion"
 	"prodsynth/internal/offer"
 	"prodsynth/internal/pipe"
-	"prodsynth/internal/reconcile"
 )
 
 // Options tunes a streaming run. The zero value keeps unbounded cluster
@@ -33,14 +31,9 @@ type Options struct {
 	// pipelining (core.Config.StageBuffer >= 0) the prepare stage still
 	// works ahead of the consumer by up to 1+StageBuffer waves.
 	Buffer int
-	// InFlight, when non-nil, gauges the number of offers inside the
-	// pipeline (pulled into prepare but not yet fused) — its Peak reports
-	// the memory-relevant high-water mark of cross-wave pipelining.
-	InFlight *pipe.Gauge
-	// Clock supplies the time source for the per-wave timings results
-	// report (PrepareElapsed, FuseElapsed, Elapsed). nil means the wall
-	// clock; inject a fake so timing-sensitive tests are deterministic.
-	Clock Clock
+	// Generation is stamped as ModelGeneration on every result: the
+	// generation of the model the caller pinned for the stream.
+	Generation uint64
 }
 
 // Clock abstracts time for the streaming pipeline's wave timings, so
@@ -75,44 +68,40 @@ type Sealed struct {
 }
 
 // Result is one emission of the streaming pipeline: per-wave results in
-// input order, then exactly one closing result with Final set.
+// input order, then exactly one closing result with Final set. The
+// embedded core.Result carries the wave's products and counters (or Err
+// for a failed wave, which contributes nothing to cluster memory or the
+// final counters; later waves still run). Products are the fused products
+// of every cluster the wave created or extended (for an extended cluster:
+// re-fused over the union of its evidence across waves), in cluster
+// creation order. Elapsed is the wave's total processing wall time,
+// PrepareElapsed+FuseElapsed; on the final result it is the total
+// processing time (summed waves plus the final fuse), excluding time spent
+// waiting for input. With pipelining, summed Elapsed exceeds wall time —
+// that overlap is the point.
 type Result struct {
+	core.Result
 	// Wave is the 0-based index of the wave this result covers. On the
 	// final result it is the number of waves consumed.
 	Wave int
 	// Final marks the closing result emitted after the input channel
 	// closes: Products holds the merged view of the stream (the final
 	// fused state of every open cluster, in cluster creation order) and
-	// the counters aggregate every successful wave.
+	// the counters aggregate every successful wave. For an uninterrupted
+	// stream with unbounded memory and no mid-stream catalog growth, the
+	// final Products are byte-identical to a one-shot run over the
+	// concatenated waves.
 	Final bool
-	// Err reports a failed wave. The wave contributes nothing to cluster
-	// memory or the final counters; later waves still run.
-	Err error
-	// Products are the fused products of every cluster this wave created
-	// or extended (for an extended cluster: re-fused over the union of
-	// its evidence across waves), in cluster creation order.
-	Products []fusion.Synthesized
 	// Sealed are the clusters sealed by this result: per-wave results
 	// carry the wave's evictions (LRU, idle, invalidation), each with the
 	// cluster's final fused product; the closing result carries one
 	// SealClose event per merged product, aligned 1:1 with Products.
+	// Empty when cluster memory is disabled (nothing is provisional then —
+	// every wave's products are already final).
 	Sealed []Sealed
-	// Reconcile counts the wave's pair translation outcomes.
-	Reconcile reconcile.Stats
-	// OffersWithoutKey counts reconciled offers with no clustering key.
-	OffersWithoutKey int
-	// ExcludedMatched counts offers dropped as matching the catalog.
-	ExcludedMatched int
-	// Fetch accounts the wave's landing-page fetches (counters plus the
-	// offers that proceeded feed-only); on the final result, the
-	// aggregate over every successful wave.
-	Fetch fetch.Report
-	// Offers is the number of offers the wave carried.
-	Offers int
-	// Clusters is the number of clusters fused (len(Products)).
-	Clusters int
 	// OpenClusters is the cluster-memory size after the wave — the
-	// quantity Options.MaxOpenClusters bounds.
+	// quantity Options.MaxOpenClusters bounds. Zero when cluster memory is
+	// disabled.
 	OpenClusters int
 	// SpilledClusters is the number of clusters parked in the spill
 	// store after the wave (0 when no spill store is configured); on the
@@ -126,12 +115,6 @@ type Result struct {
 	// FuseElapsed is the wall time the wave spent in the fuse stage
 	// (cluster memory, value fusion, seal handling).
 	FuseElapsed time.Duration
-	// Elapsed is the wave's total processing wall time
-	// (PrepareElapsed+FuseElapsed). On the final result it is the total
-	// processing time (summed waves plus the final fuse), excluding time
-	// spent waiting for input. With pipelining, summed Elapsed exceeds
-	// wall time — that overlap is the point.
-	Elapsed time.Duration
 }
 
 // preparedWave is the prepare stage's per-wave output, crossing the stage
@@ -162,10 +145,7 @@ type preparedWave struct {
 // cancel ctx or close waves to release them, even if the consumer has
 // stopped reading.
 func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult, waves <-chan []offer.Offer, pages core.PageFetcher, cfg core.Config, opts Options) <-chan Result {
-	clk := opts.Clock
-	if clk == nil {
-		clk = wallClock{}
-	}
+	var clk Clock = wallClock{}
 	out := make(chan Result, opts.Buffer)
 	//lint:allow spawncheck pipeline goroutine: lifecycle is ctx cancellation or closing waves, both close out; leak-guarded by TestStreamCtxCancelNoLeak
 	go func() {
@@ -196,7 +176,6 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 		nextWave := 0
 		prepared := pipe.Map(func(ctx context.Context, batch []offer.Offer) (preparedWave, error) {
 			start := clk.Now()
-			opts.InFlight.Add(len(batch))
 			pw := preparedWave{wave: nextWave, offers: len(batch)}
 			nextWave++
 			prep, err := core.PrepareIncoming(ctx, store, offline, batch, pages, cfg)
@@ -219,7 +198,10 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 			prepared = pipe.Buffer[preparedWave](cfg.StageBuffer)(prepared)
 		}
 
+		// The closing result is built from total, so stamping it here
+		// stamps the final emission too.
 		var total Result
+		total.ModelGeneration = opts.Generation
 		for {
 			pw, ok, err := prepared.Next(ctx)
 			if err != nil {
@@ -241,7 +223,7 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 				return
 			}
 			r := fuseWave(ctx, store, pw, cfg, mem, clk)
-			opts.InFlight.Add(-pw.offers)
+			r.ModelGeneration = opts.Generation
 			if r.Err == nil {
 				accumulate(&total, r)
 			}
@@ -264,14 +246,15 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 // steps: a cancellation mid-step lets the bounded worker pools drain (they
 // hold no external resources) and surfaces as the wave's Err.
 func fuseWave(ctx context.Context, store *catalog.Store, pw preparedWave, cfg core.Config, mem *Memory, clk Clock) Result {
-	r := Result{Wave: pw.wave, Offers: pw.offers, PrepareElapsed: pw.elapsed}
+	r := Result{Result: core.Result{Offers: pw.offers}, Wave: pw.wave, PrepareElapsed: pw.elapsed}
 	if pw.err != nil {
 		r.Err = pw.err
 		r.Elapsed = r.PrepareElapsed
 		return r
 	}
 	start := clk.Now()
-	r.Reconcile = pw.prep.Reconcile
+	r.PairsDropped = pw.prep.Reconcile.PairsDropped
+	r.PairsMapped = pw.prep.Reconcile.PairsMapped
 	r.ExcludedMatched = pw.prep.ExcludedMatched
 	r.Fetch = pw.prep.Fetch
 
@@ -328,7 +311,8 @@ func sealEvents(ctx context.Context, evicted []Evicted, cfg core.Config, wave in
 // already delivered, and the closing result carries only its own SealClose
 // events.
 func accumulate(total *Result, r Result) {
-	total.Reconcile.Add(r.Reconcile)
+	total.PairsDropped += r.PairsDropped
+	total.PairsMapped += r.PairsMapped
 	total.OffersWithoutKey += r.OffersWithoutKey
 	total.ExcludedMatched += r.ExcludedMatched
 	total.Fetch.Add(r.Fetch)

@@ -687,3 +687,105 @@ func TestSynthesizeStreamEquivalenceWithSpill(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerationPinnedAcrossUse pins model-generation stamping on the
+// stream and batch paths: every per-wave and final StreamResult, and
+// every BatchResult.Batches[i] plus Total — the failed batch included —
+// carry the generation current when the call started, even when a Use
+// lands while wave 0 is held mid-extraction.
+func TestGenerationPinnedAcrossUse(t *testing.T) {
+	ds, sys := learned(t, Config{StrictPages: true})
+	halves := contiguousWaves(ds.IncomingOffers, 2)
+	waves := [][]Offer{halves[0], {badOffer(ds)}, halves[1]}
+
+	t.Run("stream", func(t *testing.T) {
+		pinned := sys.Generation()
+		gate := newGateFetcher(MapFetcher(ds.Pages))
+		in := make(chan []Offer, len(waves))
+		for _, w := range waves {
+			in <- w
+		}
+		close(in)
+		out, err := sys.SynthesizeStream(context.Background(), in, gate, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-gate.inflight
+		sys.Use(sys.Model())
+		close(gate.release)
+		n, sawFinal := 0, false
+		for r := range out {
+			n++
+			sawFinal = sawFinal || r.Final
+			if r.ModelGeneration != pinned {
+				t.Errorf("wave %d (final=%v, err=%v): ModelGeneration = %d, want pinned %d",
+					r.Wave, r.Final, r.Err, r.ModelGeneration, pinned)
+			}
+		}
+		if n != len(waves)+1 || !sawFinal {
+			t.Fatalf("%d results (final seen: %v), want %d waves plus the final", n, sawFinal, len(waves))
+		}
+		if got := sys.Generation(); got != pinned+1 {
+			t.Errorf("Generation after Use = %d, want %d", got, pinned+1)
+		}
+	})
+
+	t.Run("batches", func(t *testing.T) {
+		pinned := sys.Generation()
+		gate := newGateFetcher(MapFetcher(ds.Pages))
+		type outcome struct {
+			res *BatchResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := sys.SynthesizeBatchesContext(context.Background(), waves, gate)
+			done <- outcome{res, err}
+		}()
+		<-gate.inflight
+		sys.Use(sys.Model())
+		close(gate.release)
+		got := <-done
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if len(got.res.Batches) != len(waves) || got.res.Failed != 1 {
+			t.Fatalf("Batches = %d, Failed = %d; want %d, 1", len(got.res.Batches), got.res.Failed, len(waves))
+		}
+		for i, r := range got.res.Batches {
+			if r.ModelGeneration != pinned {
+				t.Errorf("batch %d (err=%v): ModelGeneration = %d, want pinned %d", i, r.Err, r.ModelGeneration, pinned)
+			}
+		}
+		if got.res.Total.ModelGeneration != pinned {
+			t.Errorf("Total.ModelGeneration = %d, want pinned %d", got.res.Total.ModelGeneration, pinned)
+		}
+	})
+}
+
+// TestStreamElapsedSplits pins the stream's timing breakdown:
+// PrepareElapsed + FuseElapsed == Elapsed on every StreamResult —
+// healthy waves, a failed wave, and the final result — with and without
+// cluster memory, and a failed wave still reports its elapsed time.
+func TestStreamElapsedSplits(t *testing.T) {
+	ds, sys := learned(t, Config{StrictPages: true})
+	halves := contiguousWaves(ds.IncomingOffers, 2)
+	waves := [][]Offer{halves[0], {badOffer(ds)}, halves[1]}
+	for _, opts := range []StreamOptions{{}, {DisableClusterMemory: true}} {
+		perWave, final := runStream(t, sys, waves, MapFetcher(ds.Pages), opts)
+		if len(perWave) != len(waves) || perWave[1].Err == nil {
+			t.Fatalf("memory disabled=%v: %d per-wave results, want %d with wave 1 failed",
+				opts.DisableClusterMemory, len(perWave), len(waves))
+		}
+		for _, r := range append(perWave, final) {
+			if r.PrepareElapsed+r.FuseElapsed != r.Elapsed {
+				t.Errorf("memory disabled=%v wave %d (final=%v, err=%v): prepare %v + fuse %v != elapsed %v",
+					opts.DisableClusterMemory, r.Wave, r.Final, r.Err, r.PrepareElapsed, r.FuseElapsed, r.Elapsed)
+			}
+			if r.Elapsed <= 0 {
+				t.Errorf("memory disabled=%v wave %d (final=%v, err=%v): Elapsed = %v, want > 0",
+					opts.DisableClusterMemory, r.Wave, r.Final, r.Err, r.Elapsed)
+			}
+		}
+	}
+}

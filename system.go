@@ -90,94 +90,45 @@ func (s *System) Model() *Model { return s.slot.Load().model }
 // to exactly one model.
 func (s *System) Generation() uint64 { return s.slot.Load().gen }
 
-// Result is the outcome of a synthesis run.
-type Result struct {
-	// Products are the synthesized product instances.
-	Products []Synthesized
-	// PairsDropped counts extracted attribute-value pairs discarded for
-	// lack of a correspondence (the noise filter of §4).
-	PairsDropped int
-	// PairsMapped counts pairs translated into catalog vocabulary.
-	PairsMapped int
-	// OffersWithoutKey counts reconciled offers that could not be
-	// clustered because no key attribute survived reconciliation.
-	OffersWithoutKey int
-	// ExcludedMatched counts incoming offers dropped because they match
-	// an existing catalog product — the run's match count against the
-	// warm indexes.
-	ExcludedMatched int
-	// Offers is the number of incoming offers the run processed.
-	Offers int
-	// Clusters is the number of offer clusters value fusion synthesized
-	// from (one synthesized product per cluster).
-	Clusters int
-	// Elapsed is the wall-clock duration of the run. In a BatchResult it
-	// makes the per-batch cost of a wave visible next to its match and
-	// fusion counts.
-	Elapsed time.Duration
-	// ModelGeneration is the System.Generation of the Model this result
-	// was synthesized against. The model is pinned per call (per batch
-	// run, per stream), so every product in one Result comes from this one
-	// generation even when a Use swap lands mid-run.
-	ModelGeneration uint64
-	// Fetch accounts the run's landing-page fetches: operation counters
-	// (exact when a FetchPolicy or other counter-keeping fetcher is in
-	// use) and the sorted IDs of offers that proceeded feed-only because
-	// their page could not be fetched — lenient mode's observable
-	// graceful degradation.
-	Fetch FetchReport
-	// Err is set on a per-batch Result inside BatchResult (or a
-	// StreamResult) when that batch failed; the other fields are zero
-	// except Offers. A failed batch does not stop later batches. Always
-	// nil on a Result returned directly by SynthesizeContext, which
-	// reports failure through its error return instead.
-	Err error
-}
+// Result is the outcome of a synthesis run, and the one result shape
+// every runtime entry point reports: SynthesizeContext returns one,
+// BatchResult holds one per batch plus their Total, and every
+// StreamResult embeds one.
+type Result = core.Result
 
 // SynthesizeContext runs the runtime pipeline (§4) over incoming offers:
 // extraction, schema reconciliation, clustering, and value fusion, against
 // the System's current Model. Cancelling ctx stops the pipeline's worker
 // pools at the next stage boundary with ctx.Err() and leaks no goroutines.
+//
+// The (model, generation) slot is pinned with one atomic load, so a
+// concurrent Use cannot change the model — or detach it from its
+// generation — mid-call.
 func (s *System) SynthesizeContext(ctx context.Context, incoming []Offer, pages PageFetcher) (*Result, error) {
-	return s.synthesize(ctx, s.slot.Load(), incoming, wrapFetch(pages, s.cfg))
-}
-
-// synthesize runs one batch against a pinned model slot — the shared core
-// of the one-shot and batch entry points. The slot is pinned with one
-// atomic load, so a concurrent Use cannot change the model — or detach it
-// from its generation — mid-call.
-func (s *System) synthesize(ctx context.Context, sl *modelSlot, incoming []Offer, pages PageFetcher) (*Result, error) {
+	sl := s.slot.Load()
 	start := time.Now()
-	run, err := core.RunRuntime(ctx, s.store, sl.model.offline, incoming, pages, s.cfg)
+	res, err := core.RunRuntime(ctx, s.store, sl.model.offline, incoming, wrapFetch(pages, s.cfg), s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Products:         run.Products,
-		PairsDropped:     run.Reconcile.PairsDropped,
-		PairsMapped:      run.Reconcile.PairsMapped,
-		OffersWithoutKey: len(run.SkippedNoKey),
-		ExcludedMatched:  run.ExcludedMatched,
-		Offers:           len(incoming),
-		Clusters:         run.Clusters.Clusters,
-		Elapsed:          time.Since(start),
-		ModelGeneration:  sl.gen,
-		Fetch:            run.Fetch,
-	}, nil
+	res.Elapsed = time.Since(start)
+	res.ModelGeneration = sl.gen
+	return res, nil
 }
 
 // BatchResult is the outcome of a SynthesizeBatchesContext run.
 type BatchResult struct {
 	// Batches holds one Result per input batch, in input order; each
 	// carries its own wall time and match/fusion counts. A batch that
-	// failed has Err set and contributes nothing but its offer count.
+	// failed has Err set and contributes nothing to Total; its Result
+	// carries only Offers, Elapsed, ModelGeneration and Err.
 	Batches []*Result
 	// Failed counts batches whose Result carries a non-nil Err.
 	Failed int
 	// Total aggregates every successful batch: concatenated Products
 	// (batch order) and summed counters. Total.Elapsed sums the
-	// per-batch run times (batches run sequentially, so it is also the
-	// run's wall time minus failed batches).
+	// per-batch run times; since one batch's prepare overlaps the
+	// previous batch's fuse, the sum can exceed the run's wall time.
 	Total Result
 }
 
@@ -191,44 +142,47 @@ type BatchResult struct {
 // per batch it appears in — use SynthesizeStream for cross-batch cluster
 // memory.
 //
-// The Model is pinned once for the whole run, so a concurrent Use swap
-// never splits a batch sequence across two models. A batch that fails
-// (e.g. under Config.StrictPages) records its error in that batch's
-// Result.Err and the run continues — except for ctx cancellation, which
-// stops the run and returns ctx.Err().
+// The batches run as a SynthesizeStream with DisableClusterMemory, so
+// batch n+1's prepare overlaps batch n's fuse while every batch's output
+// stays what a run of that batch alone would produce. The Model is pinned
+// once for the whole run, so a concurrent Use swap never splits a batch
+// sequence across two models. A batch that fails (e.g. under
+// Config.StrictPages) records its error in that batch's Result.Err and
+// the run continues — except for ctx cancellation, which stops the run
+// and returns ctx.Err().
 func (s *System) SynthesizeBatchesContext(ctx context.Context, batches [][]Offer, pages PageFetcher) (*BatchResult, error) {
-	sl := s.slot.Load()
+	waves := make(chan []Offer, len(batches))
+	for _, b := range batches {
+		waves <- b
+	}
+	close(waves)
+	results, err := s.SynthesizeStream(ctx, waves, pages, StreamOptions{DisableClusterMemory: true})
+	if err != nil {
+		return nil, err
+	}
 	out := &BatchResult{Batches: make([]*Result, 0, len(batches))}
-	out.Total.ModelGeneration = sl.gen
-	// One wrap for the whole sequence: breaker state and fetch counters
-	// span every batch, like a serving process's crawl client would.
-	pages = wrapFetch(pages, s.cfg)
-	for _, batch := range batches {
-		res, err := s.synthesize(ctx, sl, batch, pages)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			out.Batches = append(out.Batches, &Result{Offers: len(batch), ModelGeneration: sl.gen, Err: err})
+	var products []Synthesized
+	for r := range results {
+		if r.Final {
+			// With memory disabled the final result carries the summed
+			// counters but no products: every batch already emitted its own.
+			out.Total = r.Result
+			out.Total.Products = products
+			return out, nil
+		}
+		out.Batches = append(out.Batches, &r.Result)
+		if r.Err != nil {
 			out.Failed++
 			continue
 		}
-		out.Batches = append(out.Batches, res)
-		out.Total.Products = append(out.Total.Products, res.Products...)
-		out.Total.PairsDropped += res.PairsDropped
-		out.Total.PairsMapped += res.PairsMapped
-		out.Total.OffersWithoutKey += res.OffersWithoutKey
-		out.Total.ExcludedMatched += res.ExcludedMatched
-		out.Total.Offers += res.Offers
-		out.Total.Clusters += res.Clusters
-		out.Total.Elapsed += res.Elapsed
-		out.Total.Fetch.Add(res.Fetch)
+		products = append(products, r.Products...)
 	}
-	return out, nil
+	// The stream closes without its final result only when cancelled.
+	return nil, ctx.Err()
 }
 
 // StreamOptions tunes SynthesizeStream. The zero value keeps unbounded
-// cluster memory and an unbuffered result channel.
+// cluster memory and the smallest result buffer.
 type StreamOptions struct {
 	// MaxOpenClusters bounds the cross-batch cluster memory: past the
 	// bound, the least recently extended clusters are forgotten (a later
@@ -242,10 +196,10 @@ type StreamOptions struct {
 	// DisableClusterMemory makes every wave cluster independently,
 	// reproducing SynthesizeBatchesContext semantics wave for wave.
 	DisableClusterMemory bool
-	// Buffer is the result channel's capacity. 0 (unbuffered) applies
-	// backpressure on the fuse stage: it runs at most one wave ahead of
-	// the consumer (the wave whose result is being delivered). Larger
-	// values let it run further ahead. The prepare stage additionally
+	// Buffer sets how far the fuse stage runs ahead of the consumer: the
+	// result channel holds up to Buffer+1 finished results, and once it is
+	// full the fuse stage blocks holding one more, so 0 applies the
+	// tightest backpressure. The prepare stage additionally
 	// works ahead of fuse by up to 1+Config.StageBuffer waves (see
 	// WithStageBuffer) unless cross-wave pipelining is disabled.
 	Buffer int
@@ -290,35 +244,14 @@ const (
 type ClusterSealed = stream.Sealed
 
 // StreamResult is one emission of SynthesizeStream: the embedded Result
-// carries the wave's products and counters (or Err for a failed wave).
-type StreamResult struct {
-	Result
-	// Wave is the 0-based wave index; on the final result, the number of
-	// waves consumed.
-	Wave int
-	// OpenClusters is the cluster-memory size after the wave — the
-	// quantity StreamOptions.MaxOpenClusters bounds. Zero when cluster
-	// memory is disabled.
-	OpenClusters int
-	// SpilledClusters is the number of clusters parked out-of-core in the
-	// spill store after the wave. Zero unless the Config carries a spill
-	// factory (see WithDurability).
-	SpilledClusters int
-	// Final marks the single closing result: its Products are the merged
-	// stream view (final fused state of every remembered cluster, in
-	// first-appearance order) and its counters aggregate all successful
-	// waves. For an uninterrupted stream with unbounded memory and no
-	// mid-stream catalog growth, the final Products are byte-identical
-	// to a one-shot SynthesizeContext over the concatenated waves.
-	Final bool
-	// Sealed are the clusters this result sealed: per-wave results carry
-	// the wave's evictions (LRU, idle-TTL, catalog invalidation), each
-	// with the cluster's final fused product; the Final result carries one
-	// SealClose event per merged product, aligned 1:1 with its Products.
-	// Empty when cluster memory is disabled (nothing is provisional then —
-	// every wave's products are already final).
-	Sealed []ClusterSealed
-}
+// carries the wave's products and counters (or Err for a failed wave),
+// and the stream adds Wave, Final, Sealed, OpenClusters, SpilledClusters,
+// and the wave's PrepareElapsed and FuseElapsed, which sum to Elapsed.
+// On the Final result, Products are the merged stream view: for an
+// uninterrupted stream with unbounded memory and no mid-stream catalog
+// growth, byte-identical to a one-shot SynthesizeContext over the
+// concatenated waves.
+type StreamResult = stream.Result
 
 // SynthesizeStream runs the runtime pipeline as a long-lived feed
 // consumer: offer waves are read from waves, processed in order against
@@ -357,52 +290,15 @@ func (s *System) SynthesizeStream(ctx context.Context, waves <-chan []Offer, pag
 	if opts.FetchPolicy != nil {
 		cfg.Fetch = *opts.FetchPolicy
 	}
-	// The inner channel stays unbuffered regardless of opts.Buffer: the
-	// forwarding goroutine already holds one result in flight, so any
-	// inner capacity would let the pipeline run that much further ahead
-	// than StreamOptions.Buffer promises.
-	inner := stream.Run(ctx, s.store, sl.model.offline, waves, wrapFetch(pages, cfg), cfg, stream.Options{
+	// The channel holds Buffer+1 results: the run-ahead StreamOptions.Buffer
+	// documents, with the fuse stage blocked holding one more once it fills.
+	return stream.Run(ctx, s.store, sl.model.offline, waves, wrapFetch(pages, cfg), cfg, stream.Options{
 		MaxOpenClusters: opts.MaxOpenClusters,
 		MaxIdleWaves:    opts.MaxIdleWaves,
 		DisableMemory:   opts.DisableClusterMemory,
-	})
-	out := make(chan StreamResult, opts.Buffer)
-	//lint:allow spawncheck forwarder exits when inner closes (stream.Run closes it on cancel or input close), closing out; leak-guarded by TestStreamCtxCancelNoLeak
-	go func() {
-		defer close(out)
-		for r := range inner {
-			sr := StreamResult{
-				Wave:            r.Wave,
-				Final:           r.Final,
-				OpenClusters:    r.OpenClusters,
-				SpilledClusters: r.SpilledClusters,
-				Sealed:          r.Sealed,
-				Result: Result{
-					Products:         r.Products,
-					PairsDropped:     r.Reconcile.PairsDropped,
-					PairsMapped:      r.Reconcile.PairsMapped,
-					OffersWithoutKey: r.OffersWithoutKey,
-					ExcludedMatched:  r.ExcludedMatched,
-					Offers:           r.Offers,
-					Clusters:         r.Clusters,
-					Elapsed:          r.Elapsed,
-					ModelGeneration:  sl.gen,
-					Err:              r.Err,
-					Fetch:            r.Fetch,
-				},
-			}
-			select {
-			case out <- sr:
-			case <-ctx.Done():
-				// The consumer may be gone; drain inner (stream.Run
-				// also watches ctx, so it closes promptly) and exit.
-				for range inner {
-				}
-				return
-			}
-		}
-	}()
-	return out, nil
+		Buffer:          opts.Buffer + 1,
+		Generation:      sl.gen,
+	}), nil
 }
 
 // AddReport is the outcome of an AddToCatalog run, with rejected products
